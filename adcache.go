@@ -288,8 +288,21 @@ func (d *DB) NewIter() (*lsm.Iterator, error) { return d.inner.NewIter() }
 // NewBatch returns an empty write batch; commit it with Apply.
 func (d *DB) NewBatch() *lsm.Batch { return lsm.NewBatch() }
 
-// Apply atomically commits a batch of writes.
-func (d *DB) Apply(b *lsm.Batch) error { return d.inner.Apply(b) }
+// Apply atomically commits a batch of writes, tracing each entry as Put
+// and Delete do.
+func (d *DB) Apply(b *lsm.Batch) error {
+	if d.trace != nil {
+		for i := 0; i < b.Len(); i++ {
+			key, deleted := b.Entry(i)
+			kind := workload.OpPut
+			if deleted {
+				kind = workload.OpDelete
+			}
+			d.recordTrace(workload.Op{Kind: kind, Key: key})
+		}
+	}
+	return d.inner.Apply(b)
+}
 
 // Flush forces the memtable to disk.
 func (d *DB) Flush() error { return d.inner.Flush() }

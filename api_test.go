@@ -7,7 +7,9 @@ import (
 
 	"adcache"
 	"adcache/internal/lsm"
+	"adcache/internal/trace"
 	"adcache/internal/vfs"
+	"adcache/internal/workload"
 )
 
 func openAPI(t *testing.T, strategy adcache.Strategy) *adcache.DB {
@@ -162,5 +164,49 @@ func TestAPISSTReadsGrowOnMisses(t *testing.T) {
 	}
 	if db.SSTReads() == before {
 		t.Fatal("uncached reads did not count SST reads")
+	}
+}
+
+// TestAPITraceRecordsBatch: Options.Trace records every operation, so a
+// batch's entries reach the workload log one op each, in batch order.
+func TestAPITraceRecordsBatch(t *testing.T) {
+	fs := vfs.NewMem()
+	f, err := fs.Create("workload.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := trace.NewWriter(f)
+	db, err := adcache.Open(adcache.Options{CacheBytes: 1 << 20, Trace: tw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := db.NewBatch()
+	b.Put([]byte("tk1"), []byte("v"))
+	b.Delete([]byte("tk2"))
+	if err := db.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rf, err := fs.Open("workload.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := trace.ReadAll(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []workload.Op{{Kind: workload.OpPut, Key: []byte("tk1")}, {Kind: workload.OpDelete, Key: []byte("tk2")}}
+	if len(ops) != len(want) {
+		t.Fatalf("traced %d ops, want %d: %+v", len(ops), len(want), ops)
+	}
+	for i, op := range ops {
+		if op.Kind != want[i].Kind || !bytes.Equal(op.Key, want[i].Key) {
+			t.Fatalf("op %d = %+v, want %+v", i, op, want[i])
+		}
 	}
 }

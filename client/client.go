@@ -366,26 +366,11 @@ func (c *Client) do(ctx context.Context, key []byte, hedge bool, build func(addr
 			return err
 		}
 		addr := c.route(key)
-		if !c.breakerFor(addr).allow(time.Now(), c.breakerCooldown) {
-			// The node is believed down: skip dialing it, back off, and
-			// let a half-open probe test it. A retryable non-event, not a
-			// user-visible failure — if the map moves the key elsewhere
-			// meanwhile, the next attempt routes there.
-			c.retryableErrs.Add(1)
-			lastErr = fmt.Errorf("%w (%s)", ErrBreakerOpen, addr)
-			continue
-		}
-		resp, release, err := c.roundTrip(ctx, addr, build, hedge)
+		resp, release, err := c.attempt(ctx, addr, build, hedge)
 		if err != nil {
-			if ctx.Err() == nil {
-				c.noteTransport(addr, false)
-			} else {
-				// The caller's context ended mid-attempt: that says
-				// nothing about the node's health, so release any probe
-				// slot without charging the breaker — repeated short
-				// caller deadlines must not open it.
-				c.breakerFor(addr).abandonProbe()
-			}
+			// An open breaker lands here too: a retryable non-event, not
+			// a user-visible failure — if the map moves the key elsewhere
+			// meanwhile, the next attempt routes there.
 			if !IsRetryable(err) {
 				c.terminalErrs.Add(1)
 				return err
@@ -394,8 +379,6 @@ func (c *Client) do(ctx context.Context, key []byte, hedge bool, build func(addr
 			lastErr = err
 			continue
 		}
-		c.noteTransport(addr, true)
-		c.noteEpochHeader(ctx, resp, addr)
 		if resp.StatusCode/100 == 2 {
 			herr := handle(resp)
 			resp.Body.Close()
@@ -438,6 +421,33 @@ func (c *Client) do(ctx context.Context, key []byte, hedge bool, build func(addr
 		return envErr
 	}
 	return fmt.Errorf("client: retries exhausted for key %q: %w", key, lastErr)
+}
+
+// attempt runs one breaker-gated round trip against addr — the only path
+// from a data-plane call to the network. An open breaker skips the dial
+// (ErrBreakerOpen, retryable) and lets a half-open probe test the node. A
+// transport failure charges the breaker; one caused by the caller's
+// context ending says nothing about the node's health, so it releases
+// any probe slot instead — repeated short caller deadlines must not open
+// the breaker. A response, of any status, proves the node alive and is
+// checked for evidence of a newer shard map. On success the caller
+// closes the body and then calls release.
+func (c *Client) attempt(ctx context.Context, addr string, build func(addr string) (*http.Request, error), hedge bool) (*http.Response, func(), error) {
+	if !c.breakerFor(addr).allow(time.Now(), c.breakerCooldown) {
+		return nil, nil, fmt.Errorf("%w (%s)", ErrBreakerOpen, addr)
+	}
+	resp, release, err := c.roundTrip(ctx, addr, build, hedge)
+	if err != nil {
+		if ctx.Err() == nil {
+			c.noteTransport(addr, false)
+		} else {
+			c.breakerFor(addr).abandonProbe()
+		}
+		return nil, nil, err
+	}
+	c.noteTransport(addr, true)
+	c.noteEpochHeader(ctx, resp, addr)
+	return resp, release, nil
 }
 
 // sleep waits the attempt-th jittered backoff, or returns the caller's
@@ -664,20 +674,10 @@ func (c *Client) openScan(ctx context.Context, addr string, start, end []byte, n
 		}
 		return req, nil
 	}
-	if !c.breakerFor(addr).allow(time.Now(), c.breakerCooldown) {
-		return nil, fmt.Errorf("%w (%s)", ErrBreakerOpen, addr)
-	}
-	resp, release, err := c.roundTrip(ctx, addr, build, true)
+	resp, release, err := c.attempt(ctx, addr, build, true)
 	if err != nil {
-		if ctx.Err() == nil {
-			c.noteTransport(addr, false)
-		} else {
-			// Caller (or sibling-stream) cancellation, not node health.
-			c.breakerFor(addr).abandonProbe()
-		}
 		return nil, err
 	}
-	c.noteTransport(addr, true)
 	if resp.StatusCode != http.StatusOK {
 		defer release()
 		defer resp.Body.Close()
@@ -869,39 +869,20 @@ func (c *Client) postBatch(ctx context.Context, addr string, group []Op) error {
 		}
 		body = b
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+addr+"/v1/batch", bytes.NewReader(body))
+	build := func(addr string) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+			"http://"+addr+"/v1/batch", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", contentType)
+		return req, nil
+	}
+	resp, release, err := c.attempt(ctx, addr, build, false)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", contentType)
-	actx := ctx
-	if c.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, c.reqTimeout)
-		defer cancel()
-		req = req.WithContext(actx)
-	}
-	// The breaker check sits immediately before the dial so that every
-	// path past a successful allow() reports an outcome — an early
-	// return between allow() and Do would strand a half-open probe slot
-	// and permanently blacklist the node.
-	if !c.breakerFor(addr).allow(time.Now(), c.breakerCooldown) {
-		return fmt.Errorf("%w (%s)", ErrBreakerOpen, addr)
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		if actx.Err() != nil && ctx.Err() == nil {
-			err = fmt.Errorf("%w: %w", ErrAttemptTimeout, err)
-		}
-		if ctx.Err() == nil {
-			c.noteTransport(addr, false)
-		} else {
-			c.breakerFor(addr).abandonProbe()
-		}
-		return err
-	}
-	c.noteTransport(addr, true)
+	defer release()
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		return decodeEnvelope(resp)

@@ -334,6 +334,42 @@ func TestBatchRetriesOnlyFailedGroups(t *testing.T) {
 	}
 }
 
+// TestBatchAckNotesNewerEpoch: a batch's 2xx answer carrying a newer
+// X-Adcache-Epoch makes the client refresh its map, exactly as a keyed
+// request's answer does.
+func TestBatchAckNotesNewerEpoch(t *testing.T) {
+	addrs, views, _, m := twoNodeCluster(t)
+	c, err := New([]string{addrs["a"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Publish epoch 3 (slot 3 b→a) behind the client's back; slot 0 stays
+	// on a, so the batch below acks without any WRONG_SHARD.
+	next, err := m.WithMove(3, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range views {
+		if err := v.Apply(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.Stats().MapRefreshes
+	if err := c.Batch([]Op{{Kind: OpPut, Key: keyForSlot(t, 0, 4), Value: []byte("v")}}); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.MapRefreshes != before+1 || st.WrongShardRetries != 0 {
+		t.Fatalf("map refreshes %d -> %d (wrong-shard retries %d), want one refresh from the ack",
+			before, st.MapRefreshes, st.WrongShardRetries)
+	}
+	if st.Epoch != 3 {
+		t.Fatalf("client epoch = %d, want 3", st.Epoch)
+	}
+}
+
 // TestBinaryClient: WithBinary changes only the encoding. Batches and
 // scans behave identically to the JSON client — same routing and
 // per-node partitioning — and raw (non-UTF-8) values survive the round

@@ -30,8 +30,8 @@ var ErrBreakerOpen = errors.New("client: circuit breaker open")
 // (WithRequestTimeout) while the caller's own context was still live.
 // The raw failure wraps the *attempt* context's DeadlineExceeded —
 // indistinguishable by errors.Is from the caller's deadline ending, which
-// is terminal — so roundTrip/postBatch tag it with this sentinel at the
-// only place the two contexts can be told apart. It is retryable by
+// is terminal — so roundTrip tags it with this sentinel at the only
+// place the two contexts can be told apart. It is retryable by
 // definition: the whole point of a per-attempt timeout is that a hung
 // node costs one attempt's budget, not the call.
 var ErrAttemptTimeout = errors.New("client: per-attempt timeout")

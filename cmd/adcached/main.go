@@ -161,7 +161,7 @@ func main() {
 	}
 	fmt.Printf("adcached: serving %s (%s strategy, %d MiB cache, %s) on %s\n",
 		*dir, db.Strategy(), *cache>>20, mode, *addr)
-	fmt.Printf("adcached: API under %s/v1/ (legacy aliases deprecated); observability at %s/v1/stats, %s/v1/health, %s/metrics, %s/debug/vars\n",
+	fmt.Printf("adcached: API under %s/v1/; observability at %s/v1/stats, %s/v1/health, %s/metrics, %s/debug/vars\n",
 		*addr, *addr, *addr, *addr, *addr)
 
 	// Graceful shutdown: on SIGINT/SIGTERM flip /v1/health to draining

@@ -43,6 +43,12 @@ func (b *Batch) Delete(key []byte) {
 // Len reports the number of queued operations.
 func (b *Batch) Len() int { return len(b.ops) }
 
+// Entry reports the i-th queued operation's key and whether it is a
+// deletion.
+func (b *Batch) Entry(i int) (key []byte, deleted bool) {
+	return b.ops[i].key, b.ops[i].kind == keys.KindDelete
+}
+
 // Reset clears the batch for reuse.
 func (b *Batch) Reset() { b.ops = b.ops[:0] }
 

@@ -9,45 +9,48 @@ import (
 	"adcache/internal/api"
 	"adcache/internal/api/wire"
 	"adcache/internal/cluster"
+	"adcache/internal/lsm"
 )
 
-// Cross-request write coalescing (WithWriteCoalescing).
+// The write pipeline: every engine write on /v1/kv and /v1/batch.
 //
-// A write request — a single-op PUT/DELETE or a whole /v1/batch body —
-// normally pays one flight-RLock acquisition and one engine Apply — and
-// therefore one WAL group commit — per request. Under high connection
-// counts those requests arrive concurrently, so a dedicated coalescer
-// goroutine groups them: the first request opens a group, the group
-// collects queued requests for up to the configured window (or until the
-// op budget fills), and the whole group becomes ONE engine Apply under
-// ONE flight-RLock hold. The engine's write-group commit then folds the
-// group into a single WAL append + fsync, amortizing both lock traffic
-// and fsync latency across connections — the cross-request analogue of
-// the engine-level group commit. Batch bodies stay atomic: all of a
-// request's ops enter the same engine batch, so the group apply commits
-// each batch all-or-nothing exactly as the direct path does.
+// A write handler reads its body, validates it, and stages the request as
+// one coalOp — a single-op PUT/DELETE carries one entry, a batch body one
+// entry per op. commitWrite then hands the op to one of two schedulers:
 //
-// Fence/migration semantics are preserved exactly:
+//   - inline (the default): the op is applied as a group of one on the
+//     handler goroutine;
+//   - the coalescer (WithWriteCoalescing): a dedicated goroutine groups
+//     the ops queued within a bounded window (or until the op budget
+//     fills), so concurrent requests share one flight-RLock hold and one
+//     engine Apply, and the engine's write-group commit folds the group
+//     into a single WAL append + fsync — the cross-request analogue of
+//     the engine-level group commit.
 //
-//   - Each request's ownership is re-checked by the coalescer *inside*
-//     the flight-RLock critical section, against the map current at
-//     apply time. A request queued before a fence but applied after it
-//     sees the new map and is answered WRONG_SHARD instead of being
-//     written into a slot this node no longer owns. A batch is rejected
-//     whole if any of its ops' slots moved, mirroring the direct path.
+// Either way applyGroup is the only code that writes to the engine, and
+// commitWrite the only code that acks. The fence/migration invariant
+// therefore lives in one place:
+//
+//   - Each request's ownership is checked inside the flight-RLock hold,
+//     against the map current at apply time. A request staged before a
+//     fence but applied after it sees the new map and is answered
+//     WRONG_SHARD instead of being written into a slot this node no
+//     longer owns. A batch is rejected whole if any of its ops' slots
+//     moved: none of its entries reach the engine batch, so a batch
+//     commits all-or-nothing.
 //   - A request is acked (204) only after its group's Apply has returned
 //     while the RLock was held. The fence takes the write lock, so by the
 //     time the fence's 204 releases the shard manager to copy, every
-//     coalesced write acked under the old map is durably committed and
-//     included in the copy. TestFenceWriteRaceCoalesced pins this.
+//     write acked under the old map is durably committed and included in
+//     the copy. TestFenceWriteRace and TestFenceWriteRaceCoalesced pin
+//     this for each scheduler.
 //
-// Durability is unchanged: Apply returns only after the WAL commit, and
-// every request in the group is acked strictly after that return.
+// Durability: Apply returns only after the WAL commit, and every request
+// in the group is acked strictly after that return.
 
-// coalOp is one queued write request — a single-op write carries one
-// entry, a batch body one entry per op — plus its result slots. The
-// parallel slices keep their capacity across pool round-trips; the done
-// channel is 1-buffered and reused.
+// coalOp is one staged write request plus its result slots. The parallel
+// slices keep their capacity across pool round-trips; the done channel
+// is 1-buffered and reused.
 type coalOp struct {
 	kinds    []byte // wire.OpPut or wire.OpDelete, per entry
 	keys     [][]byte
@@ -62,14 +65,28 @@ type coalOp struct {
 	done       chan struct{}
 }
 
-// reset clears op for a new request, keeping slice capacity.
-func (op *coalOp) reset(internal bool) {
+var coalOpPool = sync.Pool{New: func() any { return &coalOp{done: make(chan struct{}, 1)} }}
+
+// getCoalOp returns an empty pooled op, keeping slice capacity.
+func getCoalOp(internal bool) *coalOp {
+	op := coalOpPool.Get().(*coalOp)
 	op.kinds = op.kinds[:0]
 	op.keys = op.keys[:0]
 	op.values = op.values[:0]
 	op.shards = op.shards[:0]
 	op.internal = internal
-	op.wrongShard, op.shard, op.owner, op.err = false, 0, "", nil
+	op.wrongShard, op.shard = false, 0
+	return op
+}
+
+// putCoalOp drops the body aliases (keys and values point into pooled
+// request buffers) so the pooled op cannot pin them, and recycles op.
+func putCoalOp(op *coalOp) {
+	for i := range op.keys {
+		op.keys[i], op.values[i] = nil, nil
+	}
+	op.owner, op.err = "", nil
+	coalOpPool.Put(op)
 }
 
 // add stages one entry on the request.
@@ -79,17 +96,6 @@ func (op *coalOp) add(kind byte, key, value []byte, shard int) {
 	op.values = append(op.values, value)
 	op.shards = append(op.shards, shard)
 }
-
-// release drops the body aliases (keys and values point into pooled
-// request buffers) so the pooled op cannot pin them.
-func (op *coalOp) release() {
-	for i := range op.keys {
-		op.keys[i], op.values[i] = nil, nil
-	}
-	op.owner, op.err = "", nil
-}
-
-var coalOpPool = sync.Pool{New: func() any { return &coalOp{done: make(chan struct{}, 1)} }}
 
 // coalescer carries the queue and the bounds of one server's write
 // coalescing. maxOps bounds the total entries staged per group, not the
@@ -123,22 +129,19 @@ func (s *server) startCoalescer() {
 	go s.runCoalescer()
 }
 
-// coalesceWrite queues one single-op write on the coalescer and blocks
-// until its group commits, then writes the op's individual outcome.
-func (s *server) coalesceWrite(w http.ResponseWriter, key, value []byte, shard int, start time.Time, kind byte, internal bool) {
-	op := coalOpPool.Get().(*coalOp)
-	op.reset(internal)
-	op.add(kind, key, value, shard)
-	s.coalesceApply(w, op, start)
-}
-
-// coalesceApply queues a staged request, blocks until its group commits,
-// writes the request's individual outcome, and recycles op. Keys and
-// values may alias the request's pooled body buffer: the handler blocks
-// here until the group is done, so the buffer cannot be recycled out
-// from under the coalescer.
-func (s *server) coalesceApply(w http.ResponseWriter, op *coalOp, start time.Time) {
-	s.coal.ch <- op
+// commitWrite applies a staged request — queued on the coalescer, or
+// inline as a group of one — blocks until its group commits, writes the
+// request's individual outcome, and recycles op. Keys and values may
+// alias the request's pooled body buffer: the handler blocks here until
+// the group is done, so the buffer cannot be recycled out from under the
+// coalescer.
+func (s *server) commitWrite(w http.ResponseWriter, op *coalOp, start time.Time) {
+	if s.coal != nil {
+		s.coal.ch <- op
+	} else {
+		group := [1]*coalOp{op}
+		s.applyGroup(group[:])
+	}
 	<-op.done
 	switch {
 	case op.wrongShard:
@@ -147,22 +150,22 @@ func (s *server) coalesceApply(w http.ResponseWriter, op *coalOp, start time.Tim
 	case op.err != nil:
 		s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, op.err.Error())
 	default:
-		for i, sh := range op.shards {
-			seen := false
-			for _, prev := range op.shards[:i] {
-				if prev == sh {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+		// Observe each touched slot once; the set is a fixed array unless
+		// the cluster runs more slots than the default.
+		var touchedArr [cluster.DefaultShards]bool
+		touched := touchedArr[:]
+		if s.nShards > len(touched) {
+			touched = make([]bool, s.nShards)
+		}
+		for _, sh := range op.shards {
+			if sh < len(touched) && !touched[sh] {
+				touched[sh] = true
 				s.observeShard(sh, true, start)
 			}
 		}
 		w.WriteHeader(http.StatusNoContent)
 	}
-	op.release()
-	coalOpPool.Put(op)
+	putCoalOp(op)
 }
 
 // runCoalescer is the group-forming loop: take one request, wait up to
@@ -208,11 +211,11 @@ func (s *server) runCoalescer() {
 	}
 }
 
-// applyGroup commits one group: re-check each request's ownership and
-// apply the survivors as one engine batch, all inside one flight-RLock
-// hold. A request with any moved slot is rejected whole — none of its
-// entries reach the engine batch — so batch atomicity matches the
-// direct path.
+// applyGroup commits one group: check each request's ownership and apply
+// the survivors as one engine batch, all inside one flight-RLock hold. A
+// request with any moved slot is rejected whole — none of its entries
+// reach the engine batch. The http_coalesce_* series count coalescer
+// groups only.
 func (s *server) applyGroup(group []*coalOp) {
 	s.flight.RLock()
 	var m *cluster.ShardMap
@@ -248,13 +251,24 @@ func (s *server) applyGroup(group []*coalOp) {
 	}
 	s.flight.RUnlock()
 	batchPool.Put(b)
-	s.coalGroups.Inc()
-	s.coalOps.Add(int64(staged))
-	s.coalSize.Observe(int64(staged))
+	if s.coal != nil {
+		s.coalGroups.Inc()
+		s.coalOps.Add(int64(staged))
+		s.coalSize.Observe(int64(staged))
+	}
 	for _, op := range group {
 		if !op.wrongShard {
 			op.err = err
 		}
 		op.done <- struct{}{}
 	}
+}
+
+// batchPool recycles engine write batches across groups.
+var batchPool = sync.Pool{New: func() any { return lsm.NewBatch() }}
+
+func getBatch() *lsm.Batch {
+	b := batchPool.Get().(*lsm.Batch)
+	b.Reset()
+	return b
 }

@@ -83,69 +83,80 @@ func scanBinary(t *testing.T, base, start string, n int) []api.ScanEntry {
 
 // TestBatchBinaryEquivalence: the same op sequence posted as JSON and as
 // the binary framing produces identical engine state and identical scan
-// results in both response formats.
+// results in both response formats, with writes applied inline and
+// through the coalescer.
 func TestBatchBinaryEquivalence(t *testing.T) {
-	srvJSON, dbJSON := testServer(t)
-	srvBin, dbBin := testServer(t)
-
-	type op struct {
-		op, key, value string
-	}
-	ops := []op{
-		{"put", "eq/a", "1"},
-		{"put", "eq/b", "two"},
-		{"put", "eq/esc", "quote\" back\\slash \n tab\t unicode→"},
-		{"put", "eq/gone", "x"},
-		{"delete", "eq/gone", ""},
-		{"put", "eq/b", "two-rewritten"},
-	}
-
-	var jsonOps []api.BatchOp
-	bin := wire.AppendBatchHeader(nil, len(ops))
-	for _, o := range ops {
-		jsonOps = append(jsonOps, api.BatchOp{Op: o.op, Key: o.key, Value: o.value})
-		if o.op == "put" {
-			bin = wire.AppendPut(bin, []byte(o.key), []byte(o.value))
-		} else {
-			bin = wire.AppendDelete(bin, []byte(o.key))
-		}
-	}
-	jb, _ := json.Marshal(jsonOps)
-
-	if st, body := postBatch(t, srvJSON.URL, "application/json", jb); st != 204 {
-		t.Fatalf("JSON batch = %d %q", st, body)
-	}
-	if st, body := postBatch(t, srvBin.URL, wire.ContentType, bin); st != 204 {
-		t.Fatalf("binary batch = %d %q", st, body)
-	}
-
-	for name, db := range map[string]*adcache.DB{"json": dbJSON, "bin": dbBin} {
-		if _, ok, _ := db.Get([]byte("eq/gone")); ok {
-			t.Fatalf("%s: deleted key still present", name)
-		}
-		if v, _, _ := db.Get([]byte("eq/b")); string(v) != "two-rewritten" {
-			t.Fatalf("%s: eq/b = %q", name, v)
-		}
-	}
-
-	// All four scan views (2 servers × 2 formats) must agree.
-	want := scanJSON(t, srvJSON.URL, "eq/", 100)
-	if len(want) != 3 {
-		t.Fatalf("scan len = %d, want 3: %v", len(want), want)
-	}
-	for i, got := range [][]api.ScanEntry{
-		scanBinary(t, srvJSON.URL, "eq/", 100),
-		scanJSON(t, srvBin.URL, "eq/", 100),
-		scanBinary(t, srvBin.URL, "eq/", 100),
+	for _, tc := range []struct {
+		name      string
+		newServer func(*testing.T) (*httptest.Server, *adcache.DB)
+	}{
+		{"inline", testServer},
+		{"coalesced", coalServer},
 	} {
-		if len(got) != len(want) {
-			t.Fatalf("view %d: len %d != %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("view %d entry %d: %+v != %+v", i, j, got[j], want[j])
+		t.Run(tc.name, func(t *testing.T) {
+			srvJSON, dbJSON := tc.newServer(t)
+			srvBin, dbBin := tc.newServer(t)
+
+			type op struct {
+				op, key, value string
 			}
-		}
+			ops := []op{
+				{"put", "eq/a", "1"},
+				{"put", "eq/b", "two"},
+				{"put", "eq/esc", "quote\" back\\slash \n tab\t unicode→"},
+				{"put", "eq/gone", "x"},
+				{"delete", "eq/gone", ""},
+				{"put", "eq/b", "two-rewritten"},
+			}
+
+			var jsonOps []api.BatchOp
+			bin := wire.AppendBatchHeader(nil, len(ops))
+			for _, o := range ops {
+				jsonOps = append(jsonOps, api.BatchOp{Op: o.op, Key: o.key, Value: o.value})
+				if o.op == "put" {
+					bin = wire.AppendPut(bin, []byte(o.key), []byte(o.value))
+				} else {
+					bin = wire.AppendDelete(bin, []byte(o.key))
+				}
+			}
+			jb, _ := json.Marshal(jsonOps)
+
+			if st, body := postBatch(t, srvJSON.URL, "application/json", jb); st != 204 {
+				t.Fatalf("JSON batch = %d %q", st, body)
+			}
+			if st, body := postBatch(t, srvBin.URL, wire.ContentType, bin); st != 204 {
+				t.Fatalf("binary batch = %d %q", st, body)
+			}
+
+			for name, db := range map[string]*adcache.DB{"json": dbJSON, "bin": dbBin} {
+				if _, ok, _ := db.Get([]byte("eq/gone")); ok {
+					t.Fatalf("%s: deleted key still present", name)
+				}
+				if v, _, _ := db.Get([]byte("eq/b")); string(v) != "two-rewritten" {
+					t.Fatalf("%s: eq/b = %q", name, v)
+				}
+			}
+
+			// All four scan views (2 servers × 2 formats) must agree.
+			want := scanJSON(t, srvJSON.URL, "eq/", 100)
+			if len(want) != 3 {
+				t.Fatalf("scan len = %d, want 3: %v", len(want), want)
+			}
+			for i, got := range [][]api.ScanEntry{
+				scanBinary(t, srvJSON.URL, "eq/", 100),
+				scanJSON(t, srvBin.URL, "eq/", 100),
+				scanBinary(t, srvBin.URL, "eq/", 100),
+			} {
+				if len(got) != len(want) {
+					t.Fatalf("view %d: len %d != %d", i, len(got), len(want))
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("view %d entry %d: %+v != %+v", i, j, got[j], want[j])
+					}
+				}
+			}
+		})
 	}
 }
 

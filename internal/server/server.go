@@ -35,10 +35,6 @@
 //	GET    /debug/vars                → 200 expvar JSON + registry snapshot
 //	GET    /debug/pprof/*             → profiling (opt-in via WithPprof)
 //
-// The pre-/v1 routes (/kv/, /scan, /batch, /stats) remain as deprecated
-// aliases for one release: they delegate to their /v1 equivalents and
-// mark themselves with a Deprecation header.
-//
 // Every non-2xx response carries the typed JSON error envelope
 // {"code","message","epoch"} (api.Envelope). On a cluster-configured node
 // every keyed response also carries X-Adcache-Node/-Epoch/-Shard routing
@@ -53,10 +49,10 @@
 // (http_shard_read_nanos{shard="3"}, …) — the series the shard manager
 // polls through /v1/shardstats.
 //
-// With WithWriteCoalescing, concurrent write requests — single-op
-// puts/deletes and whole batch bodies — are grouped into one engine
-// Apply (one WAL commit, one flight-lock hold) — see coalesce.go for
-// the fence-interaction argument.
+// Every write request — a single-op put/delete or a whole batch body —
+// goes through one write pipeline (coalesce.go): it applies inline as a
+// group of one, or, with WithWriteCoalescing, concurrent requests are
+// grouped into one engine Apply (one WAL commit, one flight-lock hold).
 package server
 
 import (
@@ -77,7 +73,6 @@ import (
 	"adcache/internal/api"
 	"adcache/internal/api/wire"
 	"adcache/internal/cluster"
-	"adcache/internal/lsm"
 	"adcache/internal/metrics"
 )
 
@@ -170,11 +165,11 @@ func WithPprof() Option { return func(c *config) { c.pprof = true } }
 // commit). A group closes after window has passed since its first
 // request or once maxOps total ops are staged, whichever comes first;
 // window 0 groups only what is already queued (no added latency),
-// maxOps <= 0 defaults to 128. Off by default: writes apply directly. A
-// request coalesced into a group is acked only after the group's commit
-// returns, and a batch's ops all enter the same group apply (atomicity
-// preserved), so durability and fence semantics are unchanged — see
-// coalesce.go.
+// maxOps <= 0 defaults to 128. Off by default: each write request then
+// applies inline as a group of one. A request coalesced into a group is
+// acked only after the group's commit returns, and a batch's ops all
+// enter the same group apply (atomicity preserved), so durability and
+// fence semantics are unchanged — see coalesce.go.
 func WithWriteCoalescing(window time.Duration, maxOps int) Option {
 	return func(c *config) {
 		c.coalesce = true
@@ -183,8 +178,7 @@ func WithWriteCoalescing(window time.Duration, maxOps int) Option {
 	}
 }
 
-// New returns an http.Handler serving db with the given options. It is
-// the single constructor; Handler and NewHandler are deprecated wrappers.
+// New returns an http.Handler serving db with the given options.
 func New(db *adcache.DB, opts ...Option) http.Handler {
 	cfg := config{maxBodyBytes: 64 << 20}
 	for _, o := range opts {
@@ -244,42 +238,7 @@ func New(db *adcache.DB, opts ...Option) http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
-	// Deprecated pre-/v1 aliases: delegate to the /v1 handler under the
-	// rewritten path so behavior (and instrumentation) is identical.
-	mux.HandleFunc("/kv/", s.legacy("/kv/", "/v1/kv/", s.handleKV))
-	mux.HandleFunc("/scan", s.legacy("/scan", "/v1/scan", s.handleScan))
-	mux.HandleFunc("/batch", s.legacy("/batch", "/v1/batch", s.handleBatch))
-	mux.HandleFunc("/stats", s.legacy("/stats", "/v1/stats", s.handleStats))
 	return s.instrument(mux)
-}
-
-// Options configures a Handler.
-//
-// Deprecated: use New with functional options.
-type Options struct {
-	// ReadOnly rejects every mutating request.
-	ReadOnly bool
-	// MaxBodyBytes caps request bodies (default 64 MiB).
-	MaxBodyBytes int64
-}
-
-// Handler returns an http.Handler serving db with defaults.
-//
-// Deprecated: use New(db).
-func Handler(db *adcache.DB) http.Handler { return New(db) }
-
-// NewHandler returns an http.Handler serving db under opts.
-//
-// Deprecated: use New(db, WithReadOnly(), WithMaxBodyBytes(n)).
-func NewHandler(db *adcache.DB, opts Options) http.Handler {
-	var o []Option
-	if opts.ReadOnly {
-		o = append(o, WithReadOnly())
-	}
-	if opts.MaxBodyBytes > 0 {
-		o = append(o, WithMaxBodyBytes(opts.MaxBodyBytes))
-	}
-	return New(db, o...)
 }
 
 // epochStr caches the decimal form of the current map epoch so routing
@@ -314,23 +273,12 @@ type server struct {
 	// migration's copy — or starts after it and sees the new map's
 	// ownership, answering WRONG_SHARD instead of acking a doomed write.
 	flight sync.RWMutex
-	// coal groups concurrent single-op writes when WithWriteCoalescing is
-	// on (nil otherwise); see coalesce.go.
+	// coal groups concurrent write requests when WithWriteCoalescing is
+	// on (nil otherwise: writes apply inline); see coalesce.go.
 	coal       *coalescer
 	coalGroups *metrics.Counter
 	coalOps    *metrics.Counter
 	coalSize   *metrics.Histogram
-}
-
-// legacy rewrites a deprecated route onto its /v1 handler.
-func (s *server) legacy(old, v1 string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		r2 := r.Clone(r.Context())
-		r2.URL.Path = v1 + strings.TrimPrefix(r.URL.Path, old)
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", r2.URL.Path))
-		h(w, r2)
-	}
 }
 
 // routeID classifies a request path into a bounded label set, so the
@@ -358,23 +306,22 @@ var routeNames = [nRoutes]string{
 }
 
 func routeOf(path string) routeID {
-	path = strings.TrimPrefix(path, "/v1")
 	switch {
-	case strings.HasPrefix(path, "/kv/"):
+	case strings.HasPrefix(path, "/v1/kv/"):
 		return routeKV
-	case path == "/scan":
+	case path == "/v1/scan":
 		return routeScan
-	case path == "/batch":
+	case path == "/v1/batch":
 		return routeBatch
-	case path == "/stats":
+	case path == "/v1/stats":
 		return routeStats
-	case path == "/shardmap":
+	case path == "/v1/shardmap":
 		return routeShardMap
-	case path == "/shardstats":
+	case path == "/v1/shardstats":
 		return routeShardStats
-	case path == "/migrate":
+	case path == "/v1/migrate":
 		return routeMigrate
-	case path == "/health":
+	case path == "/v1/health":
 		return routeHealth
 	case path == "/metrics":
 		return routeMetrics
@@ -633,69 +580,28 @@ func (s *server) handleKV(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Write(v)
-	case http.MethodPut, http.MethodPost:
+	case http.MethodPut, http.MethodPost, http.MethodDelete:
 		if s.deny(w) {
 			return
 		}
-		// Body first, lock second: a slow request body must not hold the
+		// Body first, commit second: a slow request body must not hold the
 		// flight lock open (it would let one slow client widen the fence
-		// window arbitrarily). The ownership check and the engine write
-		// share one critical section so a concurrent fence cannot slip
-		// between them and purge an acked write.
-		value, ok := s.readBody(w, r)
-		if !ok {
-			return
+		// window arbitrarily).
+		kind, value := wire.OpDelete, []byte(nil)
+		if r.Method != http.MethodDelete {
+			var ok bool
+			if value, ok = s.readBody(w, r); !ok {
+				return
+			}
+			kind = wire.OpPut
 		}
-		if s.coal != nil {
-			s.coalesceWrite(w, kb, value, shard, start, wire.OpPut, s.internalOK(r))
-			return
-		}
-		s.flight.RLock()
-		defer s.flight.RUnlock()
-		if !s.checkOwned(w, r, kb, shard) {
-			return
-		}
-		if err := s.db.Put(kb, value); err != nil {
-			s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-			return
-		}
-		s.observeShard(shard, true, start)
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodDelete:
-		if s.deny(w) {
-			return
-		}
-		if s.coal != nil {
-			s.coalesceWrite(w, kb, nil, shard, start, wire.OpDelete, s.internalOK(r))
-			return
-		}
-		s.flight.RLock()
-		defer s.flight.RUnlock()
-		if !s.checkOwned(w, r, kb, shard) {
-			return
-		}
-		if err := s.db.Delete(kb); err != nil {
-			s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-			return
-		}
-		s.observeShard(shard, true, start)
-		w.WriteHeader(http.StatusNoContent)
+		op := getCoalOp(s.internalOK(r))
+		op.add(kind, kb, value, shard)
+		s.commitWrite(w, op, start)
 	default:
 		s.writeErr(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
 			"method "+r.Method+" not allowed on /v1/kv/")
 	}
-}
-
-// owned reports whether this node owns key (true without a cluster).
-func (s *server) owned(key []byte) bool {
-	if s.cfg.src == nil {
-		return true
-	}
-	m := s.cfg.src.Current()
-	if m == nil {
-		return true
-	}
-	return m.OwnerOf(key) == s.cfg.nodeID
 }
 
 // handleScan streams matching entries: results are encoded into the
@@ -842,21 +748,15 @@ func (s *server) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// batchPool recycles write batches across requests and coalesced groups.
-var batchPool = sync.Pool{New: func() any { return lsm.NewBatch() }}
-
-func getBatch() *lsm.Batch {
-	b := batchPool.Get().(*lsm.Batch)
-	b.Reset()
-	return b
-}
-
 // handleBatch applies a multi-op body atomically. The body is JSON
 // ([]api.BatchOp) by default or the binary batch framing when
-// Content-Type is application/x-adcache-bin. Per-request work — map
-// fetch, epoch header, internal-token check — is hoisted out of the op
-// loop, and the touched-slot set is a fixed array (cluster.DefaultShards
-// wide) rather than a map allocation.
+// Content-Type is application/x-adcache-bin. The whole body is staged as
+// one write-pipeline op outside any lock — body-shape validation does
+// not depend on the shard map, and slot indices are fixed for the
+// cluster's lifetime — and applyGroup checks ownership of every staged
+// slot at apply time, rejecting the batch whole if any slot is foreign.
+// Keys and values alias the pooled request body; commitWrite blocks
+// until the group commits, so the buffer outlives the apply.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeErr(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
@@ -882,124 +782,16 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, api.CodeBadBody, err.Error())
 		return
 	}
-	start := reqStart(w)
-	internal := s.internalOK(r)
-	if s.coal != nil {
-		s.coalesceBatch(w, isBin, ops, &dec, start, internal)
-		return
-	}
-	// Ownership checks and the batch apply share one flight critical
-	// section (body already read above): a concurrent fence either waits
-	// for this whole batch to commit or forces it onto the new map.
-	s.flight.RLock()
-	defer s.flight.RUnlock()
 	var m *cluster.ShardMap
 	if s.cfg.src != nil {
 		if m = s.cfg.src.Current(); m != nil {
 			w.Header().Set(api.HeaderEpoch, s.epochString(m.Epoch))
 		}
 	}
-	var touchedArr [cluster.DefaultShards]bool
-	touched := touchedArr[:]
-	if s.nShards > len(touched) {
-		touched = make([]bool, s.nShards)
-	}
-	b := getBatch()
-	defer batchPool.Put(b)
-	// stage validates one op's key and ownership and marks its slot
-	// touched; key may alias the request body (the batch copies it).
-	stage := func(i int, kb []byte) bool {
-		if len(kb) == 0 {
-			s.writeErr(w, http.StatusBadRequest, api.CodeBadKey, fmt.Sprintf("op %d: empty key", i))
-			return false
-		}
-		if m != nil {
-			shard := m.Shard(kb)
-			if !internal {
-				if owner := m.Owner[shard]; owner != s.cfg.nodeID {
-					s.writeErr(w, http.StatusMisdirectedRequest, api.CodeWrongShard,
-						fmt.Sprintf("shard %d owned by node %q", shard, owner))
-					return false
-				}
-			}
-			if shard < len(touched) {
-				touched[shard] = true
-			}
-		} else {
-			touched[0] = true
-		}
-		return true
-	}
-	if isBin {
-		for i := 0; ; i++ {
-			kind, kb, vb, err := dec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				s.writeErr(w, http.StatusBadRequest, api.CodeBadBody, err.Error())
-				return
-			}
-			if !stage(i, kb) {
-				return
-			}
-			if kind == wire.OpPut {
-				b.Put(kb, vb)
-			} else {
-				b.Delete(kb)
-			}
-		}
-	} else {
-		for i, op := range ops {
-			kb := []byte(op.Key)
-			if !stage(i, kb) {
-				return
-			}
-			switch op.Op {
-			case "put":
-				b.Put(kb, []byte(op.Value))
-			case "delete":
-				b.Delete(kb)
-			default:
-				s.writeErr(w, http.StatusBadRequest, api.CodeBadOp,
-					fmt.Sprintf("op %d: unknown %q (want put|delete)", i, op.Op))
-				return
-			}
-		}
-	}
-	if err := s.db.Apply(b); err != nil {
-		s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-		return
-	}
-	for sh := 0; sh < s.nShards && sh < len(touched); sh++ {
-		if touched[sh] {
-			s.observeShard(sh, true, start)
-		}
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// coalesceBatch routes a decoded /v1/batch body through the write
-// coalescer: the whole body is staged as one coalOp (outside any lock —
-// body-shape validation does not depend on the shard map, and slot
-// indices are fixed for the cluster's lifetime), and ownership of every
-// staged slot is re-checked by the coalescer at apply time, rejecting
-// the batch whole if any slot moved. Keys and values alias the pooled
-// request body; coalesceApply blocks until the group commits, so the
-// buffer cannot be recycled out from under the coalescer.
-func (s *server) coalesceBatch(w http.ResponseWriter, isBin bool, ops []api.BatchOp, dec *wire.BatchDecoder, start time.Time, internal bool) {
-	var m *cluster.ShardMap
-	if s.cfg.src != nil {
-		if m = s.cfg.src.Current(); m != nil {
-			w.Header().Set(api.HeaderEpoch, s.epochString(m.Epoch))
-		}
-	}
-	op := coalOpPool.Get().(*coalOp)
-	op.reset(internal)
+	op := getCoalOp(s.internalOK(r))
 	bad := func(status int, code, msg string) {
 		s.writeErr(w, status, code, msg)
-		op.release()
-		coalOpPool.Put(op)
+		putCoalOp(op)
 	}
 	stage := func(i int, kind byte, kb, vb []byte) bool {
 		if len(kb) == 0 {
@@ -1046,7 +838,7 @@ func (s *server) coalesceBatch(w http.ResponseWriter, isBin bool, ops []api.Batc
 			}
 		}
 	}
-	s.coalesceApply(w, op, start)
+	s.commitWrite(w, op, reqStart(w))
 }
 
 // handleStats serves the DB's unified snapshot verbatim — one struct, one

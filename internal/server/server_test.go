@@ -73,43 +73,11 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases: the pre-/v1 routes delegate to /v1 for one release,
-// self-identifying as deprecated.
-func TestLegacyAliases(t *testing.T) {
-	srv, _ := testServer(t)
-	if resp, _ := do(t, "PUT", srv.URL+"/kv/hello", "world"); resp.StatusCode != 204 {
-		t.Fatalf("legacy PUT status %d", resp.StatusCode)
-	}
-	resp, body := do(t, "GET", srv.URL+"/kv/hello", "")
-	if resp.StatusCode != 200 || body != "world" {
-		t.Fatalf("legacy GET = %d %q", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy route missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/kv/") {
-		t.Fatalf("legacy Link header %q", link)
-	}
-	// New route reads what legacy wrote and carries no Deprecation.
-	resp, body = do(t, "GET", srv.URL+"/v1/kv/hello", "")
-	if body != "world" || resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("v1 GET = %q deprecation=%q", body, resp.Header.Get("Deprecation"))
-	}
-	if resp, _ := do(t, "POST", srv.URL+"/batch", `[{"op":"put","key":"b","value":"2"}]`); resp.StatusCode != 204 {
-		t.Fatalf("legacy batch status %d", resp.StatusCode)
-	}
-	if resp, _ := do(t, "GET", srv.URL+"/scan?start=a&n=5", ""); resp.StatusCode != 200 {
-		t.Fatalf("legacy scan status %d", resp.StatusCode)
-	}
-	if resp, _ := do(t, "GET", srv.URL+"/stats", ""); resp.StatusCode != 200 {
-		t.Fatalf("legacy stats status %d", resp.StatusCode)
-	}
-}
-
 // TestErrorEnvelope drives every client-error path and asserts the typed
 // envelope: HTTP status plus distinct machine-readable code.
 func TestErrorEnvelope(t *testing.T) {
 	srv, _ := testServer(t)
+	coalSrv, _ := coalServer(t)
 	roDB, err := adcache.Open(adcache.Options{CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +124,9 @@ func TestErrorEnvelope(t *testing.T) {
 		{"oversized body", smallSrv, "PUT", "/v1/kv/big", strings.Repeat("x", 64), 413, api.CodeTooLarge},
 		{"shardmap unclustered", srv, "GET", "/v1/shardmap", "", 404, api.CodeNotFound},
 		{"migrate without header", srv, "GET", "/v1/migrate?shard=0", "", 403, api.CodeForbidden},
-		{"legacy alias envelope", srv, "GET", "/scan?start=a&n=zap", "", 400, api.CodeBadLimit},
+		{"coalesced batch bad json", coalSrv, "POST", "/v1/batch", "{nope", 400, api.CodeBadBody},
+		{"coalesced batch unknown op", coalSrv, "POST", "/v1/batch", `[{"op":"zap","key":"d"}]`, 400, api.CodeBadOp},
+		{"coalesced batch empty key", coalSrv, "POST", "/v1/batch", `[{"op":"put","key":"","value":"v"}]`, 400, api.CodeBadKey},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -315,32 +285,6 @@ func TestMetricsRequestLatency(t *testing.T) {
 	}
 	if _, ok := snap[`http_request_nanos{route="kv"}`]; !ok {
 		t.Fatal("kv latency histogram missing")
-	}
-}
-
-// TestDeprecatedConstructors: Handler and NewHandler remain as thin
-// wrappers over New.
-func TestDeprecatedConstructors(t *testing.T) {
-	db, err := adcache.Open(adcache.Options{CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	srv := httptest.NewServer(Handler(db))
-	defer srv.Close()
-	if resp, _ := do(t, "PUT", srv.URL+"/v1/kv/x", "y"); resp.StatusCode != 204 {
-		t.Fatalf("Handler wrapper PUT status %d", resp.StatusCode)
-	}
-	db2, err := adcache.Open(adcache.Options{CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	srv2 := httptest.NewServer(NewHandler(db2, Options{ReadOnly: true}))
-	defer srv2.Close()
-	resp, body := do(t, "PUT", srv2.URL+"/v1/kv/x", "y")
-	if resp.StatusCode != 403 || envelope(t, body).Code != api.CodeReadOnly {
-		t.Fatalf("NewHandler wrapper read-only = %d %q", resp.StatusCode, body)
 	}
 }
 
