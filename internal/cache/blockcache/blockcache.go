@@ -9,6 +9,7 @@ package blockcache
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 )
 
@@ -175,8 +176,11 @@ func (c *Cache) Resize(capacity int64) {
 	}
 }
 
-// EvictFile drops all blocks of fileNum (tooling; the engine does not call
-// this on compaction so that invalidation costs stay realistic).
+// EvictFile drops all blocks of fileNum. It is tooling only: the engine
+// never evicts a dead file's blocks, so that invalidation costs stay
+// realistic. When compaction retires a file and the engine closes its
+// reader, it calls Detach instead; the dead blocks stay charged and age out
+// through the LRU like any other entry.
 func (c *Cache) EvictFile(fileNum uint64) {
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -188,6 +192,30 @@ func (c *Cache) EvictFile(fileNum uint64) {
 				s.ll.Remove(e)
 				delete(s.items, k)
 			}
+		}
+		s.mu.Unlock()
+	}
+}
+
+// Detach implements sstable.BlockCache: every cached image of fileNums is
+// replaced by a heap copy the cache owns, so none aliases a reader's memory
+// map once the engine closes it. Sizes, LRU order and counters are left
+// exactly as they were. The scan costs one pass over the cache per call, so
+// callers batch the files they retire together.
+func (c *Cache) Detach(fileNums []uint64) {
+	if len(fileNums) == 0 {
+		return
+	}
+	for _, s := range c.shards {
+		s.mu.Lock()
+		for k, e := range s.items {
+			if !slices.Contains(fileNums, k.fileNum) {
+				continue
+			}
+			ent := e.Value.(*entry)
+			owned := make([]byte, len(ent.data))
+			copy(owned, ent.data)
+			ent.data = owned
 		}
 		s.mu.Unlock()
 	}

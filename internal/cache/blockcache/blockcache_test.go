@@ -213,3 +213,92 @@ func ExampleCache() {
 	}
 	// Output: block-bytes
 }
+
+// lruKeys lists every shard's keys from most to least recent.
+func lruKeys(c *Cache) [][]blockKey {
+	out := make([][]blockKey, len(c.shards))
+	for i, s := range c.shards {
+		s.mu.Lock()
+		for e := s.ll.Front(); e != nil; e = e.Next() {
+			out[i] = append(out[i], e.Value.(*entry).key)
+		}
+		s.mu.Unlock()
+	}
+	return out
+}
+
+// TestDetachKeepsStateAndCopies checks the contract the engine relies on
+// before it unmaps a table: Detach re-homes the file's images into fresh
+// memory with identical bytes, and changes nothing else. Stats, LRU order
+// and later eviction decisions match an untouched twin cache exactly.
+func TestDetachKeepsStateAndCopies(t *testing.T) {
+	build := func() (*Cache, map[blockKey][]byte) {
+		c := NewShards(8<<10, 2)
+		src := make(map[blockKey][]byte)
+		for i := 0; i < 30; i++ {
+			fileNum := uint64(1 + i%3)
+			k := blockKey{fileNum, uint64(i * 4096)}
+			src[k] = block(200+i, byte(i))
+			c.Insert(k.fileNum, k.offset, src[k], 3*len(src[k]), i%2 == 0)
+		}
+		for i := 0; i < 30; i += 4 { // reorder the LRU and count hits
+			c.Get(uint64(1+i%3), uint64(i*4096))
+		}
+		return c, src
+	}
+	c, src := build()
+	twin, _ := build()
+
+	c.Detach([]uint64{1, 3})
+	if got, want := c.ShardStats(), twin.ShardStats(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Detach changed shard stats:\n got %+v\nwant %+v", got, want)
+	}
+	if got, want := lruKeys(c), lruKeys(twin); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Detach changed LRU order:\n got %v\nwant %v", got, want)
+	}
+
+	detached := 0
+	for k, s := range src {
+		c.shardFor(k).mu.Lock()
+		el, ok := c.shardFor(k).items[k]
+		c.shardFor(k).mu.Unlock()
+		if !ok {
+			continue // evicted while building
+		}
+		got := el.Value.(*entry).data
+		if string(got) != string(s) {
+			t.Fatalf("block %v: bytes changed by Detach", k)
+		}
+		aliases := &got[0] == &s[0]
+		if k.fileNum == 2 && !aliases {
+			t.Fatalf("block %v of an undetached file was copied", k)
+		}
+		if k.fileNum != 2 {
+			if aliases {
+				t.Fatalf("block %v still aliases its source after Detach", k)
+			}
+			detached++
+			s[0] ^= 0xFF // scribbling on the old memory must not reach the cache
+			if cached, _ := c.Get(k.fileNum, k.offset); cached[0] == s[0] {
+				t.Fatalf("block %v sees writes to its detached source", k)
+			}
+			twin.Get(k.fileNum, k.offset) // keep the twin's LRU in step
+		}
+	}
+	if detached == 0 {
+		t.Fatal("no block of a detached file was cached")
+	}
+
+	// The same later workload evicts the same blocks from both caches.
+	for i := 0; i < 20; i++ {
+		b := block(300, 'z')
+		c.Insert(9, uint64(i*4096), b, len(b), false)
+		twin.Insert(9, uint64(i*4096), b, len(b), false)
+	}
+	if got, want := c.Stats(), twin.Stats(); got != want {
+		t.Fatalf("stats diverged after Detach:\n got %+v\nwant %+v", got, want)
+	}
+	if got, want := lruKeys(c), lruKeys(twin); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("LRU order diverged after Detach:\n got %v\nwant %v", got, want)
+	}
+}

@@ -234,8 +234,12 @@ func (d *DB) runSubcompaction(plan *compaction.Plan, sr compaction.SubRange, can
 
 // prefetchOutputs warms the block cache with the leading blocks of each
 // compaction output (Leaper-style re-population). Reads go through the
-// normal cached-read path so the cache applies its own admission.
+// normal cached-read path so the cache applies its own admission. outputs
+// belong to the current version, which the prefetch pins like any read: a
+// compaction retiring them meanwhile must not close a reader mid-read.
 func (d *DB) prefetchOutputs(outputs []*manifest.FileMeta) error {
+	h := d.acquireVersion()
+	defer d.releaseVersion(h)
 	for _, f := range outputs {
 		if err := d.prefetchFile(f); err != nil {
 			return err

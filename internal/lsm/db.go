@@ -127,6 +127,12 @@ type DB struct {
 	// for the next durable manifest save: deleting them earlier would let a
 	// crash land with a manifest referencing missing files. Guarded by verMu.
 	deletable []uint64
+	// retired holds readers of files no live version references, waiting to
+	// be closed outside verMu. Guarded by verMu.
+	retired []*tableEntry
+	// shut is set by Close once the current version is unpinned; from then
+	// on every table no live version references is closed. Guarded by verMu.
+	shut bool
 
 	nextFileNum atomic.Uint64
 	walNum      uint64 // active log; written under commitMu+mu, read under either
@@ -274,22 +280,30 @@ func (d *DB) replayWALs(nums []uint64) error {
 		if !d.fs.Exists(path) {
 			continue
 		}
-		f, err := d.fs.Open(path)
-		if err != nil {
+		if err := d.replayWAL(path); err != nil {
 			return err
-		}
-		maxSeq, err := wal.Replay(f, func(rec wal.Record) error {
-			d.mem.Set(keys.Make(rec.Key, rec.Seq, rec.Kind), rec.Value)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if maxSeq > d.lastSeq {
-			d.lastSeq = maxSeq
 		}
 	}
 	return nil
+}
+
+// replayWAL applies one log to the memtable. The log is closed on every
+// path: wal.Replay does not own the handle, and a leaked one would keep a
+// retired log's disk space allocated after startWAL unlinks it.
+func (d *DB) replayWAL(path string) error {
+	f, err := d.fs.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	maxSeq, err := wal.Replay(f, func(rec wal.Record) error {
+		d.mem.Set(keys.Make(rec.Key, rec.Seq, rec.Kind), rec.Value)
+		return nil
+	})
+	if maxSeq > d.lastSeq {
+		d.lastSeq = maxSeq
+	}
+	return err
 }
 
 // flushRecovered persists the memtable rebuilt by replayWALs as an L0
@@ -768,7 +782,7 @@ func (d *DB) Compact() error {
 // transient failure leaves the worker scheduled to retry, so the DB
 // self-heals even when the failing call was a manual one.
 func (d *DB) foregroundBgError(err error) error {
-	if d.opts.InlineCompaction {
+	if d.opts.InlineCompaction || errors.Is(err, ErrClosed) {
 		return err
 	}
 	if retry, _ := d.noteBgError(err); retry {
@@ -780,7 +794,8 @@ func (d *DB) foregroundBgError(err error) error {
 // Close stops background work, closes the log and persists the manifest.
 // Sealed-but-unflushed memtables are not flushed; their WALs stay on disk
 // and are replayed on the next Open. Close is idempotent, and writes racing
-// Close either commit fully or return ErrClosed.
+// Close either commit fully or return ErrClosed. Every table reader is
+// closed, except those an open Iterator pins: they close when it does.
 func (d *DB) Close() error {
 	d.closing.Store(true)
 	// Wake writers stalled on backpressure so they can observe closing and
@@ -805,12 +820,18 @@ func (d *DB) Close() error {
 		d.wg.Wait()
 	}
 
+	// A foreground Flush or Compact may still be merging through the
+	// current version's readers; wait for it before closing them.
+	d.compactMu.Lock()
+	defer d.compactMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.log.Close(); err != nil {
-		return err
+	err := d.log.Close()
+	if err == nil {
+		err = d.saveManifestLocked()
 	}
-	return d.saveManifestLocked()
+	d.shutTables()
+	return err
 }
 
 // IOStats returns cumulative file I/O counters; ReadOps equals the paper's
@@ -870,6 +891,14 @@ type Metrics struct {
 	// BgIOStallNanos is cumulative time background flush/compaction writers
 	// spent throttled by the Options.BgIOBytesPerSec token bucket.
 	BgIOStallNanos int64
+	// OpenFiles counts the engine's open file handles (tables, logs,
+	// manifest writes in flight); OpenTables the open table readers; and
+	// MappedTableBytes the file bytes those readers hold memory-mapped. A
+	// table stays open only while a live version references it, so at rest
+	// OpenTables never exceeds the tree's file count.
+	OpenFiles        int64
+	OpenTables       int64
+	MappedTableBytes int64
 	// bgStateNum is the numeric form of BgState for the lsm_bg_state gauge
 	// (0 healthy, 1 retrying, 2 read-only).
 	bgStateNum int
@@ -921,6 +950,9 @@ func (d *DB) Metrics() Metrics {
 		Resumes:                 d.resumes,
 		WALRemoveErrors:         d.walRemoveErrors,
 		BgIOStallNanos:          d.ioLimit.StallNanos(),
+		OpenFiles:               d.fs.Stats.OpenFiles.Load(),
+		OpenTables:              d.tc.openTables.Load(),
+		MappedTableBytes:        d.tc.mappedBytes.Load(),
 	}
 	if d.bgCause != nil {
 		m.BgLastError = d.bgCause.Error()

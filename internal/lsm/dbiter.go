@@ -17,6 +17,7 @@ type Iterator struct {
 	handle *versionHandle
 	vi     *visibleIter
 	stats  sstable.ReadStats
+	err    error // vi's error, kept when Close drops vi
 	closed bool
 }
 
@@ -96,23 +97,44 @@ func (it *Iterator) skipDeleted(ok bool) bool {
 // Valid reports whether the iterator is positioned at a live entry.
 func (it *Iterator) Valid() bool { return !it.closed && it.vi.Valid() }
 
-// Key returns the current user key; stable until the next positioning call.
-func (it *Iterator) Key() []byte { return it.vi.UserKey() }
+// Key returns the current user key; stable until the next positioning call
+// and nil after Close.
+func (it *Iterator) Key() []byte {
+	if it.closed {
+		return nil
+	}
+	return it.vi.UserKey()
+}
 
-// Value returns the current value; stable until the next positioning call.
-func (it *Iterator) Value() []byte { return it.vi.Value() }
+// Value returns the current value; stable until the next positioning call
+// and nil after Close (the block it points into may be unmapped by then).
+func (it *Iterator) Value() []byte {
+	if it.closed {
+		return nil
+	}
+	return it.vi.Value()
+}
 
 // Err returns the first error the iterator encountered.
-func (it *Iterator) Err() error { return it.vi.Err() }
+func (it *Iterator) Err() error {
+	if it.closed {
+		return it.err
+	}
+	return it.vi.Err()
+}
 
 // BlockReads reports how many SST blocks this iterator fetched from disk.
 func (it *Iterator) BlockReads() int64 { return it.stats.BlockMisses }
 
-// Close releases the snapshot pin. It is safe to call twice.
+// Close releases the snapshot pin. It is safe to call twice. The iterator
+// drops its table iterators first: once the pin is gone their readers may
+// be closed and unmapped, so nothing reachable from it may view them.
 func (it *Iterator) Close() {
 	if it.closed {
 		return
 	}
 	it.closed = true
+	it.err = it.vi.Err()
+	it.vi = nil
 	it.db.releaseVersion(it.handle)
 }

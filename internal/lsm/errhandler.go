@@ -215,7 +215,7 @@ func (d *DB) Resume() error {
 	d.mu.Unlock()
 
 	if err := d.drainAndCompact(!d.opts.DisableAutoCompaction); err != nil {
-		if !d.opts.InlineCompaction {
+		if !d.opts.InlineCompaction && !errors.Is(err, ErrClosed) {
 			d.noteBgError(err)
 			d.notifyWorker()
 		}

@@ -237,6 +237,9 @@ func (c *countingBlockCache) Insert(_, _ uint64, _ []byte, _ int, _ bool) {
 	c.mu.Unlock()
 }
 
+// Detach is a no-op: the cache stores nothing.
+func (c *countingBlockCache) Detach([]uint64) {}
+
 func (c *countingBlockCache) inserts() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -83,6 +83,14 @@ func (d *DB) bgDrain() bool {
 func (d *DB) drainAndCompact(compact bool) error {
 	d.compactMu.Lock()
 	defer d.compactMu.Unlock()
+	// A Flush or Compact that lost the race with Close must not touch the
+	// tables Close has released.
+	d.mu.RLock()
+	closed := d.closed
+	d.mu.RUnlock()
+	if closed {
+		return ErrClosed
+	}
 	for {
 		d.mu.RLock()
 		n := len(d.imm)

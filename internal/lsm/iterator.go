@@ -44,6 +44,7 @@ func newLevelIter(tc *tableCache, files []*manifest.FileMeta, stats *sstable.Rea
 // init points the levelIter at a level, replacing any previous state while
 // retaining the embedded iterator's buffers (the engine pools levelIters).
 func (l *levelIter) init(tc *tableCache, files []*manifest.FileMeta, stats *sstable.ReadStats) {
+	l.iter.Close() // drop the previous table's reader and block view
 	l.tc = tc
 	l.files = files
 	l.stats = stats

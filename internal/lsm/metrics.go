@@ -83,6 +83,9 @@ func (d *DB) registerMetrics(reg *metrics.Registry) {
 		{"lsm_total_bytes", "bytes across all SSTables", func(m Metrics) float64 { return float64(m.TotalBytes) }},
 		{"lsm_write_amplification", "SSTable bytes written per user byte", Metrics.WriteAmplification},
 		{"lsm_bg_state", "error-handler mode (0 healthy, 1 retrying, 2 read-only)", func(m Metrics) float64 { return float64(m.bgStateNum) }},
+		{"lsm_open_files", "open engine file handles", func(m Metrics) float64 { return float64(m.OpenFiles) }},
+		{"lsm_open_tables", "open SSTable readers", func(m Metrics) float64 { return float64(m.OpenTables) }},
+		{"lsm_mapped_table_bytes", "SSTable bytes held memory-mapped by open readers", func(m Metrics) float64 { return float64(m.MappedTableBytes) }},
 	}
 	for _, g := range gauges {
 		fn := g.fn

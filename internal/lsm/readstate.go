@@ -53,6 +53,10 @@ func (d *DB) putReadState(rs *readState) {
 	for _, l := range rs.lvlIters[:rs.lvlUsed] {
 		l.init(nil, nil, nil)
 	}
+	// The point-lookup block iterator still views the last block read,
+	// which may live in a table's memory map; a pooled view must not
+	// outlive the table's reader.
+	rs.stats.Reset()
 	d.readPool.Put(rs)
 }
 

@@ -21,6 +21,10 @@ type IntegrityReport struct {
 // engine's fsck, exposed through `lsmtool check`.
 func (d *DB) VerifyIntegrity() (IntegrityReport, error) {
 	d.mu.RLock()
+	if d.closed {
+		d.mu.RUnlock()
+		return IntegrityReport{}, ErrClosed
+	}
 	h := d.acquireVersion()
 	d.mu.RUnlock()
 	defer d.releaseVersion(h)

@@ -1,10 +1,14 @@
 package lsm
 
-import "adcache/internal/manifest"
+import (
+	"adcache/internal/manifest"
+	"adcache/internal/vfs"
+)
 
 // versionHandle reference-counts a Version so that in-flight reads can pin
 // the file set they iterate while compactions install newer versions.
-// Obsolete files are deleted only once no live handle references them.
+// Obsolete files are closed and deleted only once no live handle references
+// them.
 type versionHandle struct {
 	v    *manifest.Version
 	refs int // guarded by DB.verMu
@@ -20,15 +24,23 @@ func (d *DB) acquireVersion() *versionHandle {
 }
 
 // releaseVersion unpins h, garbage-collecting obsolete files when the last
-// reference to a superseded version drops.
+// reference to a superseded version drops. The readers that GC retires are
+// closed later, next to the unlink in deleteObsoleteFiles, so a Get never
+// pays for an munmap here; only after Close, when no manifest save is left
+// to do it, does the releasing goroutine close them itself.
 func (d *DB) releaseVersion(h *versionHandle) {
 	d.verMu.Lock()
 	h.refs--
-	if h.refs == 0 && h != d.current {
+	if h.refs == 0 && (h != d.current || d.shut) {
 		delete(d.live, h)
 		d.gcFilesLocked()
 	}
+	var retired []*tableEntry
+	if d.shut {
+		retired, d.retired = d.retired, nil
+	}
 	d.verMu.Unlock()
+	d.tc.closeTables(retired)
 }
 
 // installVersion publishes v as the current version. obsolete lists file
@@ -67,10 +79,13 @@ func (d *DB) installVersion(v *manifest.Version, obsolete []uint64) {
 	d.shapeInfo.Store(info)
 }
 
-// gcFilesLocked deletes zombie files referenced by no live version.
-// Caller holds d.verMu.
+// gcFilesLocked retires zombie files referenced by no live version: their
+// readers leave the table cache for d.retired, and the files queue for
+// deletion. After Close (d.shut) it also retires every other open table no
+// live version references, so the last iterator release leaves nothing
+// open. Caller holds d.verMu.
 func (d *DB) gcFilesLocked() {
-	if len(d.zombies) == 0 {
+	if len(d.zombies) == 0 && !d.shut {
 		return
 	}
 	referenced := make(map[uint64]bool)
@@ -86,27 +101,58 @@ func (d *DB) gcFilesLocked() {
 			continue
 		}
 		delete(d.zombies, fn)
-		d.tc.evict(fn)
+		d.retireLocked(fn)
 		// Deferred, not deleted: the on-disk manifest may still reference
 		// this file. Physical removal happens after the next successful
 		// manifest save (deleteObsoleteFiles) — a crash in between must
 		// recover from a manifest whose whole file set is still present.
 		d.deletable = append(d.deletable, fn)
 	}
+	if d.shut {
+		for _, fn := range d.tc.openFiles() {
+			if !referenced[fn] {
+				d.retireLocked(fn)
+			}
+		}
+	}
 }
 
-// deleteObsoleteFiles physically removes files queued by the version GC.
-// Called only after a manifest that no longer references them has been
-// durably saved; anything queued afterwards waits for the next save (or, if
-// the process dies first, for the orphan sweep on reopen).
+// retireLocked moves fileNum's reader, if open, from the table cache to
+// d.retired. Caller holds d.verMu.
+func (d *DB) retireLocked(fileNum uint64) {
+	if e := d.tc.release(fileNum); e != nil {
+		d.retired = append(d.retired, e)
+	}
+}
+
+// deleteObsoleteFiles closes the readers the version GC retired and
+// physically removes the files it queued. Called only after a manifest that
+// no longer references them has been durably saved; anything queued
+// afterwards waits for the next save (or, if the process dies first, for
+// the orphan sweep on reopen). Readers close before their files are
+// unlinked, so no mapping of a deleted table ever exists.
 func (d *DB) deleteObsoleteFiles() {
 	d.verMu.Lock()
-	pending := d.deletable
-	d.deletable = nil
+	pending, retired := d.deletable, d.retired
+	d.deletable, d.retired = nil, nil
 	d.verMu.Unlock()
+	d.tc.closeTables(retired)
 	for _, fn := range pending {
 		// Removal failures are harmless (the file may already be gone);
 		// the next reopen's orphan sweep retries.
-		_ = d.fs.Remove(sstPath(d.opts.Dir, fn))
+		if err := d.fs.Remove(sstPath(d.opts.Dir, fn)); err == nil || vfs.IsNotExist(err) {
+			d.tc.forget(fn)
+		}
 	}
+}
+
+// shutTables drops the current version's own reference for Close, closing
+// every reader no open iterator still pins; the iterators' releases close
+// the rest. Caller holds compactMu, so no compaction is reading through the
+// current version's readers.
+func (d *DB) shutTables() {
+	d.verMu.Lock()
+	d.shut = true
+	d.verMu.Unlock()
+	d.releaseVersion(d.current)
 }

@@ -228,6 +228,10 @@ func (c *logicalFakeCache) Insert(fileNum, off uint64, data []byte, logical int,
 	c.lastLogical = logical
 }
 
+// Detach is a no-op: the tests read MemFS tables, whose images never alias
+// a memory map.
+func (c *logicalFakeCache) Detach([]uint64) {}
+
 // FuzzBlockTrailer exercises the physical block codec: arbitrary payloads
 // must round-trip through both codecs, and decodeBlock must reject (never
 // panic on) arbitrary images.

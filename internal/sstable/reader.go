@@ -31,6 +31,11 @@ type BlockCache interface {
 	// admission policies treat the two differently (§3.4 "this strategy can
 	// also be applied to the block cache").
 	Insert(fileNum, offset uint64, data []byte, logical int, scan bool)
+	// Detach re-homes every cached image of the given files into memory the
+	// cache owns, leaving sizes, recency and counters untouched. An image
+	// may alias a reader's memory map; the engine calls Detach before it
+	// closes such a reader, so no cached slice outlives its mapping.
+	Detach(fileNums []uint64)
 }
 
 // ReadStats counts logical cache activity for one reader. Updated atomically
@@ -159,6 +164,21 @@ func (r *Reader) NumEntries() uint64 { return r.entries }
 
 // Size reports the file size in bytes.
 func (r *Reader) Size() int64 { return r.size }
+
+// Mapped reports whether block reads are served as views of a memory map,
+// so block images handed to the cache alias the mapping.
+func (r *Reader) Mapped() bool { return r.nc != nil }
+
+// Close releases the table's file and, with it, any memory map. Nothing may
+// read through the reader afterwards, and every view it handed out must be
+// dead or detached from the cache first (BlockCache.Detach). Close drops
+// the views it holds itself, so a late read fails on the closed file
+// instead of touching unmapped memory.
+func (r *Reader) Close() error {
+	r.nc = nil
+	r.filter = nil
+	return r.f.Close()
+}
 
 // readBlockPhysical reads one block's physical image — payload plus the
 // compression-type byte, checksum verified and stripped — directly from the

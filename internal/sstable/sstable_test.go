@@ -174,6 +174,10 @@ func (c *fakeCache) Insert(fileNum, off uint64, data []byte, logical int, scan b
 	}
 }
 
+// Detach is a no-op: the tests read MemFS tables, whose images never alias
+// a memory map.
+func (c *fakeCache) Detach([]uint64) {}
+
 func TestBlockCacheServesRepeatReads(t *testing.T) {
 	fs := vfs.NewMem()
 	buildTable(t, fs, "t.sst", 1000, WriterOptions{})

@@ -8,11 +8,16 @@ import "sync/atomic"
 // ReadOps is the number of ReadAt calls issued against data files, which for
 // the LSM engine corresponds one-to-one with block reads ("SST reads" in the
 // paper), because the sstable reader fetches exactly one block per ReadAt.
+//
+// OpenFiles is a gauge, not a counter: +1 per Create or Open, -1 per first
+// Close of that handle. It moves per open, never per read, and is not part
+// of the Snapshot/Sub window accounting.
 type Stats struct {
 	ReadOps    atomic.Int64
 	ReadBytes  atomic.Int64
 	WriteOps   atomic.Int64
 	WriteBytes atomic.Int64
+	OpenFiles  atomic.Int64
 }
 
 // Snapshot returns a point-in-time copy of the counters.
@@ -79,16 +84,26 @@ func (c *CountingFS) Open(name string) (File, error) {
 // OSFS memory maps unreachable). Files without it get the plain wrapper, so
 // a type assertion on the wrapped file still reports the truth.
 func wrapCounting(f File, stats *Stats) File {
-	cf := countingFile{File: f, stats: stats}
+	stats.OpenFiles.Add(1)
 	if nc, ok := f.(NoCopyReaderAt); ok {
-		return &countingFileNoCopy{countingFile: cf, nc: nc}
+		return &countingFileNoCopy{countingFile: countingFile{File: f, stats: stats}, nc: nc}
 	}
-	return &cf
+	return &countingFile{File: f, stats: stats}
 }
 
 type countingFile struct {
 	File
-	stats *Stats
+	stats  *Stats
+	closed atomic.Bool
+}
+
+// Close releases the handle's slot in the OpenFiles gauge once, however
+// often it is called.
+func (f *countingFile) Close() error {
+	if f.closed.CompareAndSwap(false, true) {
+		f.stats.OpenFiles.Add(-1)
+	}
+	return f.File.Close()
 }
 
 // countingFileNoCopy additionally forwards ReadAtNoCopy, counting each

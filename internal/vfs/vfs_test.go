@@ -127,6 +127,37 @@ func TestCountingFS(t *testing.T) {
 	}
 }
 
+// TestCountingOpenFilesGauge checks the open-file gauge moves once per open
+// and once per handle's first Close, and never on reads or writes.
+func TestCountingOpenFilesGauge(t *testing.T) {
+	cfs := NewCounting(NewMem())
+	f, _ := cfs.Create("f")
+	f.Write(make([]byte, 100))
+	g, _ := cfs.Open("f")
+	if _, err := cfs.Open("missing"); err == nil {
+		t.Fatal("Open of a missing file succeeded")
+	}
+	if n := cfs.Stats.OpenFiles.Load(); n != 2 {
+		t.Fatalf("OpenFiles = %d after Create+Open, want 2", n)
+	}
+	buf := make([]byte, 10)
+	for i := 0; i < 5; i++ {
+		g.ReadAt(buf, 0)
+	}
+	if n := cfs.Stats.OpenFiles.Load(); n != 2 {
+		t.Fatalf("OpenFiles = %d after reads, want 2", n)
+	}
+	f.Close()
+	f.Close()
+	if n := cfs.Stats.OpenFiles.Load(); n != 1 {
+		t.Fatalf("OpenFiles = %d after a double Close, want 1", n)
+	}
+	g.Close()
+	if n := cfs.Stats.OpenFiles.Load(); n != 0 {
+		t.Fatalf("OpenFiles = %d after closing every handle, want 0", n)
+	}
+}
+
 func TestFaultFSWriteInjection(t *testing.T) {
 	ffs := NewFault(NewMem())
 	f, _ := ffs.Create("f")
